@@ -26,6 +26,21 @@ object CostModel {
     prefixCard / covered.size * chi(step, catalog)
   }
 
+  /** The (step key, cost) pairs the ILP accounts for when `d` is selected:
+    * its probe steps plus, for a maintenance order of `maintains`, the insert
+    * step that ships each produced subresult into the MIR store (Section IV:
+    * an MIR store pays off when the intermediate result is small). The start
+    * tuple is latest in a 1/#relations fraction of the subresult.
+    */
+  def costed(d: Decorated, maintains: Option[Mir], stats: Stats,
+             catalog: Catalog): Vector[(StepKey, Double)] = {
+    val sub = d.po.sub
+    d.steps.map(s => s.key -> stepCost(s, stats, catalog)) ++ maintains.map { m =>
+      StepKey(Vector(d.po.start), s"insert:${m.key}", "", routed = true) ->
+        stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
+    }
+  }
+
   /** PCost of a decorated probe order: sum of its step costs. */
   def orderCost(d: Decorated, stats: Stats, catalog: Catalog): Double =
     d.steps.map(stepCost(_, stats, catalog)).sum

@@ -9,15 +9,15 @@ package repro.core
   * cover the same relations with the same predicates.
   */
 final case class Mir(relations: Vector[String], predicates: Set[Pred]) {
+  val relSet: Set[String] = relations.toSet
   require(relations == relations.sorted, s"MIR relations must be sorted: $relations")
   require(predicates.forall(_.within(relSet)), s"MIR predicates must be internal")
 
-  def relSet: Set[String] = relations.toSet
   def isBase: Boolean = relations.size == 1
   def size: Int = relations.size
 
   /** Stable global identity: relations + canonical predicate keys. */
-  def key: String =
+  val key: String =
     relations.mkString(",") + "|" + predicates.map(_.key).toSeq.sorted.mkString("&")
 
   /** Short display label, e.g. `ST` for the join of S and T. */

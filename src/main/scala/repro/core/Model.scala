@@ -4,8 +4,8 @@ import scala.collection.mutable
 
 /** An attribute of a streamed relation, e.g. `S.b`. */
 final case class Attr(rel: String, name: String) {
-  /** Fully qualified name used in keys and display. */
-  def full: String = s"$rel.$name"
+  /** Fully qualified name used in keys, tuple values and display. */
+  val full: String = s"$rel.$name"
   override def toString: String = full
 }
 

@@ -20,17 +20,22 @@ final case class MirSlot(mirKey: String, start: String) extends SlotId {
 
 /** A candidate probe order for a slot.
   *
-  * @param steps  the physical probe steps (drive the topology)
-  * @param costed (step key, cost) pairs the ILP accounts for: the probe steps
-  *               plus, for maintenance orders, the insert step that ships the
-  *               produced subresult into the MIR store (Section IV: an MIR
-  *               store pays off when the intermediate result is small)
+  * @param maintains the MIR whose store this order fills (maintenance slots)
+  * @param costed    (step key, cost) pairs the ILP accounts for, from
+  *                  `CostModel.costed`
   */
-final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey, Double)],
-                      mirsUsed: Vector[String]) {
+final case class Cand(d: Decorated, maintains: Option[Mir], costed: Vector[(StepKey, Double)]) {
+  /** Keys of the non-base MIRs this order relies on, sorted. */
+  val mirsUsed: Vector[String] = d.mirsUsed.map(_.key).toVector.sorted
+  /** The physical probe steps (drive the topology). */
+  def steps: Vector[Step] = d.steps
   def cost: Double = costed.map(_._2).sum
-  def stepKeys: Vector[StepKey] = costed.map(_._1)
   override def toString: String = d.toString
+}
+
+object Cand {
+  def apply(d: Decorated, maintains: Option[Mir], stats: Stats, catalog: Catalog): Cand =
+    Cand(d, maintains, CostModel.costed(d, maintains, stats, catalog))
 }
 
 /** The multi-query optimization problem of Section V: slots, candidates,
@@ -44,7 +49,6 @@ final case class MqoProblem(
     mirSlots: Map[String, Vector[SlotId]], // mirKey -> maintenance slots
     slotCands: Map[SlotId, Vector[Cand]],
     stepCost: Map[StepKey, Double],
-    stepByKey: Map[StepKey, Step],
     mirByKey: Map[String, Mir],
 ) {
   /** ILP x-variables: one per (slot, candidate). */
@@ -86,19 +90,11 @@ object MqoProblem {
     val mirSlots = mutable.LinkedHashMap[String, Vector[SlotId]]()
 
     def mkCands(sub: Subquery, usableMirs: Set[Mir], start: String,
-                insertInto: Option[Mir]): Vector[Cand] =
+                maintains: Option[Mir]): Vector[Cand] =
       ProbeOrders
         .candidatesFrom(sub, usableMirs, start)
         .flatMap(po => ProbeOrders.decorate(po, partsOf))
-        .map { d =>
-          val steps = d.steps
-          val costed = steps.map(s => s.key -> CostModel.stepCost(s, stats, catalog)) ++
-            insertInto.map { m =>
-              StepKey(Vector(start), s"insert:${m.key}", "", routed = true) ->
-                stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
-            }
-          Cand(d, steps, costed, d.mirsUsed.map(_.key).toVector.sorted)
-        }
+        .map(d => Cand(d, maintains, stats, catalog))
 
     // Maintenance slots for a non-base MIR (recursively for MIRs its own
     // candidates use). Candidates of the MIR's subquery may themselves use
@@ -112,7 +108,7 @@ object MqoProblem {
       val pool = mirByKey.values.toSet
       val slots = m.relations.map { start =>
         val sid: SlotId = MirSlot(mirKey, start)
-        val cands = mkCands(sub, pool, start, insertInto = Some(m))
+        val cands = mkCands(sub, pool, start, maintains = Some(m))
         slotCands(sid) = cands
         cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
         sid
@@ -125,7 +121,7 @@ object MqoProblem {
       start <- q.relations.toVector.sorted
     } yield {
       val sid: SlotId = QuerySlot(q.name, start)
-      val cands = mkCands(Subquery.ofQuery(q), perQueryMirs(q.name), start, insertInto = None)
+      val cands = mkCands(Subquery.ofQuery(q), perQueryMirs(q.name), start, maintains = None)
       require(cands.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
       slotCands(sid) = cands
       cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
@@ -135,7 +131,6 @@ object MqoProblem {
     // Shared step cost table. Step cost must be identical wherever the same
     // step key appears (it is a function of the key's content).
     val stepCost = mutable.Map[StepKey, Double]()
-    val stepByKey = mutable.Map[StepKey, Step]()
     for (cands <- slotCands.values; c <- cands) {
       for ((k, cost) <- c.costed) {
         stepCost.get(k).foreach { prev =>
@@ -144,7 +139,6 @@ object MqoProblem {
         }
         stepCost(k) = cost
       }
-      c.steps.foreach(s => stepByKey(s.key) = s)
     }
 
     MqoProblem(
@@ -155,7 +149,6 @@ object MqoProblem {
       mirSlots = mirSlots.toMap,
       slotCands = slotCands.toMap,
       stepCost = stepCost.toMap,
-      stepByKey = stepByKey.toMap,
       mirByKey = mirByKey.toMap,
     )
   }

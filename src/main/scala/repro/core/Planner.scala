@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.ilp.Solver
-import scala.collection.mutable
 
 /** The set of probe orders actually installed (query orders + MIR maintenance
   * orders), produced by one of the planning strategies.
@@ -56,28 +55,17 @@ object Planner {
       Planned(p, Solver.solve(p, nodeBudget))
     }
 
-  /** Merge individually optimal plans into one shared selection: stores and
-    * identical steps are deduplicated, but plan *choice* stays locally optimal.
-    */
   /** Re-cost an existing selection under (possibly newer) statistics: sum of
     * its distinct probe-step costs plus the MIR insert costs. Used for
     * reconfiguration hysteresis (only rewire on a clear improvement).
     */
-  def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double = {
-    val costs = mutable.Map[StepKey, Double]()
-    sel.orders.foreach { case (sid, c) =>
-      c.steps.foreach(s => costs(s.key) = CostModel.stepCost(s, stats, catalog))
-      sid match {
-        case MirSlot(mk, start) =>
-          val sub = c.d.po.sub
-          costs(StepKey(Vector(start), s"insert:$mk", "", routed = true)) =
-            stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
-        case _ =>
-      }
-    }
-    costs.values.sum
-  }
+  def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double =
+    sel.copy(orders = sel.orders.map { case (sid, c) => sid -> Cand(c.d, c.maintains, stats, catalog) })
+      .sharedCost
 
+  /** Merge individually optimal plans into one shared selection: stores and
+    * identical steps are deduplicated, but plan *choice* stays locally optimal.
+    */
   def sharedFromIndividual(planned: Seq[Planned]): Selection = {
     val orders = planned.toVector.flatMap(_.selection.orders)
     // Deduplicate maintenance slots selected by several queries for the same MIR.

@@ -29,17 +29,16 @@ final case class Decorated(po: ProbeOrder, parts: Vector[Option[Attr]]) {
   def stores: Vector[StoreRef] =
     po.elems.tail.zip(parts).map { case (m, p) => StoreRef(m, p) }
 
-  /** The t-th step (1-based, t = 1..k-1): the decorated prefix of length t+1.
-    * Per Section V, a step is identified with its probe-order prefix; equal
+  /** The steps t = 1..k-1, each the decorated prefix of length t+1. Per
+    * Section V, a step is identified with its probe-order prefix; equal
     * steps in different queries' candidates share an ILP variable.
     */
-  def step(t: Int): Step = {
-    val prefixElems = po.elems.take(t)
-    val prefixParts = parts.take(t - 1)
-    Step(po.sub, po.start, prefixElems, prefixParts, po.elems(t), parts(t - 1))
-  }
+  val steps: Vector[Step] = (1 until po.elems.size).map { t =>
+    Step(po.sub, po.start, po.elems.take(t), parts.take(t - 1), po.elems(t), parts(t - 1))
+  }.toVector
 
-  def steps: Vector[Step] = (1 until po.elems.size).map(step).toVector
+  /** The t-th step (1-based, t = 1..k-1). */
+  def step(t: Int): Step = steps(t - 1)
 
   /** Non-base MIRs this probe order relies on (they must be maintained). */
   def mirsUsed: Set[Mir] = po.elems.filterNot(_.isBase).toSet
@@ -50,7 +49,7 @@ final case class Decorated(po: ProbeOrder, parts: Vector[Option[Attr]]) {
 
 /** A store instance: an MIR store partitioned by a specific attribute. */
 final case class StoreRef(mir: Mir, part: Option[Attr]) {
-  def key: String = mir.key + "[" + part.map(_.full).getOrElse("∗") + "]"
+  val key: String = mir.key + "[" + part.map(_.full).getOrElse("∗") + "]"
   override def toString: String = mir.toString + "[" + part.map(_.full).getOrElse("∗") + "]"
 }
 
@@ -58,11 +57,12 @@ final case class StoreRef(mir: Mir, part: Option[Attr]) {
   * `prefixElems` (where the start tuple is latest) is sent to the store of
   * `target` partitioned by `targetPart`.
   *
-  * Identity (`key`) captures everything that determines the transferred
-  * tuples and the performed probe: the decorated prefix, the accumulated
-  * predicates, the target store and the predicates connecting prefix and
-  * target — so structurally equal steps of different queries share one
-  * ILP variable and one physical dataflow edge.
+  * Every derived fact of a step is computed once, here. Identity (`key`)
+  * captures everything that determines the transferred tuples and the
+  * performed probe: the decorated prefix, the accumulated predicates, the
+  * target store and the predicates connecting prefix and target — so
+  * structurally equal steps of different queries share one ILP variable and
+  * one physical dataflow edge.
   */
 final case class Step(
     sub: Subquery,
@@ -72,37 +72,37 @@ final case class Step(
     target: Mir,
     targetPart: Option[Attr],
 ) {
-  def coveredRels: Set[String] = prefixElems.flatMap(_.relations).toSet
+  val coveredRels: Set[String] = prefixElems.flatMap(_.relations).toSet
   def resultRels: Set[String] = coveredRels ++ target.relSet
 
   /** Predicates evaluated when probing: those connecting prefix and target. */
-  def probePreds: Set[Pred] =
+  val probePreds: Set[Pred] =
     sub.predicates.filter(_.connects(coveredRels, target.relSet))
 
-  def targetRef: StoreRef = StoreRef(target, targetPart)
+  /** `probePreds` oriented as (target attribute, prefix attribute) pairs. */
+  val probePairs: Vector[(Attr, Attr)] = probePreds.toVector.map { p =>
+    if (target.relSet(p.x.rel)) (p.x, p.y) else (p.y, p.x)
+  }
 
-  /** True when the partitioning value of the target store is derivable from
-    * the prefix tuple via the subquery's attribute-equality classes; false
-    * means the prefix tuple must be broadcast to all target partitions.
+  val targetRef: StoreRef = StoreRef(target, targetPart)
+
+  /** The prefix attribute whose value routes this step: the target store's
+    * partitioning value is derivable from the prefix tuple via the
+    * subquery's attribute-equality classes. None means the prefix tuple must
+    * be broadcast to all target partitions.
     */
-  def routed: Boolean = targetPart.exists { p =>
-    val covered = coveredRels
-    AttrEq.classOf(sub.predicates, p).exists(a => covered(a.rel))
+  val routeAttr: Option[Attr] = targetPart.flatMap { p =>
+    AttrEq.classOf(sub.predicates, p).find(a => coveredRels(a.rel))
   }
 
-  /** The prefix attribute whose value routes this step (None = broadcast). */
-  def routeAttr: Option[Attr] = targetPart.flatMap { p =>
-    val covered = coveredRels
-    AttrEq.classOf(sub.predicates, p).find(a => covered(a.rel))
-  }
+  def routed: Boolean = routeAttr.isDefined
 
-  def key: StepKey = {
+  val key: StepKey = {
     val prefixKey = prefixElems.head.key +: prefixElems.tail.zip(prefixParts).map {
       case (m, p) => StoreRef(m, p).key
     }
-    val covered = resultRels
     StepKey(prefixKey, targetRef.key,
-            sub.inducedPreds(covered).map(_.key).toSeq.sorted.mkString("&"),
+            sub.inducedPreds(resultRels).map(_.key).toSeq.sorted.mkString("&"),
             routed)
   }
 

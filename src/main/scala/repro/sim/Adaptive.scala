@@ -16,7 +16,6 @@ final class AdaptiveController(
     catalog: Catalog,
     initialStats: Stats,
     nodeBudget: Long = 200000L,
-    hysteresis: Double = 0.9, // rewire only when ≥10% estimated improvement
     useEstimates: Boolean = true, // false: plan from initialStats only (query changes still apply)
 ) extends Controller {
 
@@ -53,7 +52,7 @@ final class AdaptiveController(
       val key = (qs.map(_.name).toSet, planned.solution.steps)
       val queriesChanged = lastPlanKey.forall(_._1 != qs.map(_.name).toSet)
       val clearlyBetter = lastSelection.forall { cur =>
-        planned.solution.cost < hysteresis * Planner.selectionCost(cur, st, catalog)
+        planned.solution.cost < AdaptiveController.Hysteresis * Planner.selectionCost(cur, st, catalog)
       }
       if (!lastPlanKey.contains(key) && (queriesChanged || clearlyBetter)) {
         val topo = Topology.build(planned.selection, catalog)
@@ -83,6 +82,11 @@ final class AdaptiveController(
     val windowEpochs = math.ceil(window / sim.params.epochLen).toLong
     sim.samples.prune(epoch - windowEpochs - 2)
   }
+}
+
+object AdaptiveController {
+  /** Rewire only on an estimated improvement of at least 10%. */
+  val Hysteresis = 0.9
 }
 
 /** Static strategy: one configuration from the initial statistics, never

@@ -63,9 +63,6 @@ final class Metrics {
     */
   val tupleLatencyBuckets = mutable.Map[Long, (Double, Long)]()
   var tuplesCompleted = 0L
-
-  def tupleLatencyAt(second: Long): Option[Double] =
-    tupleLatencyBuckets.get(second).collect { case (s, n) if n > 0 => s / n }
   var storedNow = 0L
   var inFlight = 0L
   var peakStored = 0L
@@ -123,8 +120,6 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   def configFor(e: Long): Option[Topology] = configs.rangeTo(e).lastOption.map(_._2)
 
-  def installedConfigs: Int = configs.size
-
   /** Store instances maintained by *every* configuration governing the epoch
     * range — i.e. instances whose per-epoch content is complete over it.
     */
@@ -177,9 +172,6 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   private def ensureStore(dfn: StoreDef): Unit =
     if (!stores.contains(dfn.key)) stores(dfn.key) = new StoreInst(dfn)
-
-  /** Current number of tuples held by a store (all partitions/epochs). */
-  def storedIn(storeKey: String): Long = stores.get(storeKey).map(_.stored).getOrElse(0L)
 
   def activeStoreKeys: Set[String] = stores.keySet.toSet
 
@@ -301,12 +293,8 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   private def handleProbe(ev: Ev, op: ProbeOp): Unit = {
     val st = stores(ev.store)
     val ps = st.parts(ev.part)
-    val step = op.node.step
     val w = op.node.probeWindow
-    val targetRels = step.target.relSet
-    val pairs = step.probePreds.toVector.map { p =>
-      if (targetRels(p.x.rel)) (p.x, p.y) else (p.y, p.x)
-    }
+    val pairs = op.node.step.probePairs
     require(pairs.nonEmpty, s"cross-product probe at node ${op.node.id}")
     val (sa, pa) = pairs.head
     val rest = pairs.tail

@@ -153,4 +153,25 @@ class PropertySpec extends AnyFunSuite {
       assert(a.numVars == b.numVars)
     }
   }
+
+  test("property: re-costing a freshly solved selection reproduces the solver's cost") {
+    val catalog = Catalog(relPool.map(r => r -> RelDef(r, attrPool, 3)).toMap, 3)
+    var withMaintenance = 0
+    (1 to 30).foreach { s =>
+      val rng = new java.util.Random(s * 131L)
+      val q1 = genQuery(s * 107L).copy(name = "q1")
+      val q2 = genQuery(s * 109L).copy(name = "q2")
+      val qs = if (q1.relations == q2.relations && q1.predicates == q2.predicates) Seq(q1) else Seq(q1, q2)
+      // small selectivities make intermediate results small, so MIR stores pay off
+      val stats = Stats(relPool.map(_ -> (5.0 + rng.nextInt(50))).toMap,
+                        qs.flatMap(_.predicates).map(_ -> (0.001 + 0.2 * rng.nextDouble())).toMap)
+      val planned = Planner.mqo(qs, catalog, stats, 20000L)
+      val sel = planned.selection
+      if (sel.orders.exists(_._1.isInstanceOf[MirSlot])) withMaintenance += 1
+      val recost = Planner.selectionCost(sel, stats, catalog)
+      val cost = planned.solution.cost
+      assert(math.abs(recost - cost) <= 1e-9 * math.max(1.0, cost), s"$qs: $recost vs $cost")
+    }
+    assert(withMaintenance >= 3, s"only $withMaintenance selections maintain an MIR")
+  }
 }
